@@ -1,29 +1,28 @@
 //! Adaptive precision scheduler economics (EXPERIMENTS.md E17): what a
-//! graded answer costs relative to the two extremes it interpolates
-//! between — the always-linear Tier 0 lookup and a whole-program cubic
-//! re-analysis.
+//! graded answer costs relative to the pieces it is built from — the
+//! always-linear Tier 0 lookup, the Tier-1 polyvariant build and the
+//! Tier-2 whole-program cubic run, each paid at most once per snapshot.
 //!
-//! Three measurements over the largest corpus program (plus a budget
-//! sweep):
+//! Four measurements over the largest corpus program:
 //!
 //! 1. `tier0_all_sites` — the frozen engine answering every query site.
 //!    The floor the scheduler must not disturb for unsuspicious sites.
-//! 2. `cubic_whole` vs `cubic_cone` — full `Cfa0` against the
-//!    cone-restricted run the scheduler actually escalates to. The
-//!    acceptance bar: the cone run stays **under 25 %** of the
-//!    whole-program time (compare the two `min_ns` records in
-//!    `BENCH_precision.json`; `cone_expr_fraction_milli` explains why).
-//! 3. `scheduled_all_sites/<budget>` — the scheduler over every site at
-//!    budget 0 (never escalate), the default, and unlimited. Counters
-//!    report how many sites escalated (`cone_runs`) and refined
-//!    (`refined`), so the escalated fraction is `cone_runs / sites`.
+//! 2. `cubic_whole` — one whole-program `Cfa0`, the Tier-2 run.
+//! 3. `poly_build` — one `PolyAnalysis` build with the scheduler's
+//!    options, the Tier-1 run.
+//! 4. `scheduled_all_sites/<budget>` — a fresh scheduler over every
+//!    site at budget 0 (never run the cubic tier) and at the default.
+//!    Counters report the suspicious sites, the cubic runs
+//!    (`cone_runs`, at most one) and the refined answers. The
+//!    acceptance bar: the default run costs at most 1.25 ×
+//!    (`poly_build` + `cubic_whole`) from the same run.
 
 use stcfa_cfa0::Cfa0;
-use stcfa_core::{Analysis, QueryEngine};
+use stcfa_core::{Analysis, AnalysisOptions, PolyAnalysis, PolyOptions, QueryEngine};
 use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
 use stcfa_lambda::{ExprId, ExprKind, Program};
-use stcfa_precision::{demand_cone, PrecisionScheduler, SuspicionIndex};
+use stcfa_precision::{PrecisionScheduler, SuspicionIndex};
 use std::hint::black_box;
 
 fn corpus() -> Vec<(String, Program)> {
@@ -89,41 +88,34 @@ fn bench_precision(c: &mut Criterion) {
         b.iter(|| black_box(Cfa0::analyze(p).labels(p, p.root()).len()))
     });
 
-    // The cone the scheduler would actually charge for: the most
-    // suspicious site's slice (ties broken by site order, so the pick
-    // is deterministic).
-    let worst = all_sites
-        .iter()
-        .copied()
-        .max_by_key(|&e| suspicion.of_expr(&engine, e))
-        .expect("at least the root");
-    let cone = demand_cone(&program, &engine, &[engine.node_of_expr(worst).index()]);
-    group.bench_with_input(
-        BenchmarkId::new("cubic_cone", &name),
-        &(&program, &cone),
-        |b, (p, cone)| {
-            b.iter(|| black_box(Cfa0::analyze_within(p, &cone.exprs).labels(p, worst).len()))
+    // Tier 1 exactly as the scheduler builds it.
+    let poly_options = PolyOptions {
+        base: AnalysisOptions {
+            policy: analysis.policy(),
+            max_nodes: None,
         },
-    );
-    group.counter("cone_nodes", cone.node_count as u64);
-    group.counter(
-        "cone_expr_fraction_milli",
-        (cone.expr_fraction(&program) * 1000.0) as u64,
-    );
+        ..PolyOptions::default()
+    };
+    group.bench_with_input(BenchmarkId::new("poly_build", &name), &program, |b, p| {
+        b.iter(|| black_box(PolyAnalysis::run_with(p, poly_options).is_ok()))
+    });
 
+    let suspicious = all_sites
+        .iter()
+        .filter(|&&e| suspicion.of_expr(&engine, e) > 0)
+        .count();
     for (label, budget) in [
         ("budget0", 0usize),
         ("default", PrecisionScheduler::DEFAULT_BUDGET),
-        ("unlimited", usize::MAX),
     ] {
         group.bench_with_input(
             BenchmarkId::new("scheduled_all_sites", format!("{name}/{label}")),
             &all_sites,
             |b, sites| {
                 b.iter(|| {
-                    // A fresh scheduler per iteration: memoization would
-                    // otherwise collapse every run after the first into
-                    // lookups and undersell the escalation cost.
+                    // A fresh scheduler per iteration: the per-snapshot
+                    // tiers and the answer cache would otherwise turn
+                    // every run after the first into lookups.
                     let sched =
                         PrecisionScheduler::new(suspicion.clone(), analysis.policy(), budget);
                     let mut total = 0usize;
@@ -140,12 +132,9 @@ fn bench_precision(c: &mut Criterion) {
         }
         let stats = sched.stats();
         group.counter("sites", all_sites.len() as u64);
+        group.counter("suspicious_sites", suspicious as u64);
         group.counter("cone_runs", stats.cone_runs);
         group.counter("refined", stats.refined);
-        group.counter(
-            "escalated_fraction_milli",
-            (stats.cone_runs * 1000) / all_sites.len().max(1) as u64,
-        );
     }
 
     group.finish();

@@ -39,9 +39,9 @@ pub struct Cfa0Stats {
 ///
 /// Set storage is one flat word arena — `wps` words per set variable,
 /// expressions `0..n` then binders — rather than a `BitSet` per
-/// variable. One allocation instead of `n + v` keeps the solver's setup
-/// cost out of the measurement when a demand cone restricts the run to
-/// a small slice of a large program (the precision scheduler's Tier 2).
+/// variable: one allocation instead of `n + v`, so setup stays a small
+/// share of the run and the retained result (the precision scheduler
+/// keeps one per snapshot) is a single buffer.
 #[derive(Clone, Debug)]
 pub struct Cfa0 {
     sites: SiteTable,
@@ -57,22 +57,7 @@ pub struct Cfa0 {
 impl Cfa0 {
     /// Runs the analysis to fixpoint.
     pub fn analyze(program: &Program) -> Cfa0 {
-        Solver::new(program).run(None)
-    }
-
-    /// Runs the analysis with constraints installed only for the
-    /// expressions in `exprs` (a bit per `ExprId` index).
-    ///
-    /// The result is the least fixpoint of the restricted constraint
-    /// system, so every set is a subset of the whole-program answer. It
-    /// *equals* the whole-program answer at a variable `x` exactly when
-    /// `exprs` is closed under flow into `x` — every expression whose
-    /// constraint can (transitively) write into `x`'s set is present.
-    /// Callers (the precision scheduler's demand cones) are responsible
-    /// for that closure; sets of variables outside the cone are
-    /// meaningless and must not be read.
-    pub fn analyze_within(program: &Program, exprs: &BitSet) -> Cfa0 {
-        Solver::new(program).run(Some(exprs))
+        Solver::new(program).run()
     }
 
     /// The site numbering used by this result.
@@ -151,8 +136,7 @@ struct Solver<'a> {
     wps: usize,
     /// Flat set storage: exprs `0..n`, then binders `n..n+v`, `wps`
     /// words each — a single allocation however many variables there
-    /// are, so a cone-restricted run's setup stays O(n) words written,
-    /// not O(n) heap allocations.
+    /// are, so setup is O(n) words written, not O(n) heap allocations.
     words: Vec<u64>,
     edges: Vec<Vec<u32>>,
     listeners: Vec<Listener>,
@@ -248,13 +232,8 @@ impl<'a> Solver<'a> {
         self.watchers[watch as usize].push(id);
     }
 
-    fn install_constraints(&mut self, mask: Option<&BitSet>) {
+    fn install_constraints(&mut self) {
         for e in self.program.exprs() {
-            if let Some(m) = mask {
-                if !m.contains(e.index()) {
-                    continue;
-                }
-            }
             let ev = self.expr_var(e);
             match self.program.kind(e) {
                 ExprKind::Var(v) => {
@@ -329,8 +308,8 @@ impl<'a> Solver<'a> {
         }
     }
 
-    fn run(mut self, mask: Option<&BitSet>) -> Cfa0 {
-        self.install_constraints(mask);
+    fn run(mut self) -> Cfa0 {
+        self.install_constraints();
         while let Some(u) = self.worklist.pop() {
             self.stats.activations += 1;
             // (a) propagate along subset edges.
@@ -539,27 +518,6 @@ mod tests {
             s.dynamic_edges >= 2,
             "at least APP-1/APP-2 for the outer app"
         );
-    }
-
-    #[test]
-    fn restricted_run_brackets_the_full_run() {
-        let p = Program::parse("(fn x => x x) (fn y => y)").unwrap();
-        let full = Cfa0::analyze(&p);
-        // The full mask reproduces the unrestricted answer everywhere.
-        let mut all = BitSet::new(p.size());
-        for e in p.exprs() {
-            all.insert(e.index());
-        }
-        let same = Cfa0::analyze_within(&p, &all);
-        for e in p.exprs() {
-            assert_eq!(same.labels(&p, e), full.labels(&p, e));
-        }
-        // The empty mask installs nothing: every set is empty.
-        let none = Cfa0::analyze_within(&p, &BitSet::new(p.size()));
-        for e in p.exprs() {
-            assert!(none.labels(&p, e).is_empty());
-        }
-        assert!(none.stats().activations <= full.stats().activations);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! forfeits the paper's entire contribution. Escalation must be
 //! selective.
 //!
-//! This crate is that selection logic, in three parts layered strictly
+//! This crate is that selection logic, in two parts layered strictly
 //! *over* the frozen [`QueryEngine`](stcfa_core::QueryEngine):
 //!
 //! - [`SuspicionIndex`] — the **degradation detector**. One `O(N + E)`
@@ -18,24 +18,20 @@
 //!   `dom`/`ran` nodes reachable from it. Suspicion 0 is a *certificate*:
 //!   the answer equals full cubic CFA. The index is 4 bytes per
 //!   component and persists with the snapshot.
-//! - [`demand_cone`] — the **cone builder**: the flow-closed program
-//!   slice that can influence one query site, so cubic escalation pays
-//!   for the neighbourhood, not the program.
 //! - [`PrecisionScheduler`] — the **tier scheduler**: Tier 0
 //!   (subtransitive, always), Tier 1 (polyvariant summaries), Tier 2
-//!   (cone-restricted cubic), with per-site memoization and a
-//!   per-snapshot escalation budget. Every answer carries a
-//!   [`PrecisionInfo`] grade (`exact` / `refined` / `approx` + tier).
+//!   (one whole-program cubic run per snapshot, for snapshots within
+//!   the node budget), with a per-site answer cache. Every answer
+//!   carries a [`PrecisionInfo`]: its grade (`exact` / `refined` /
+//!   `approx`) and tier.
 //!
 //! Consumers: the server's protocol-v2 `query`/`rule` responses and
 //! `stcfa query --precision` surface the grade per answer; the lint
 //! engine derives `"confidence":"proven|likely"` for its diagnostics
 //! from the same certificates.
 
-pub mod cone;
 pub mod detector;
 pub mod scheduler;
 
-pub use cone::{demand_cone, DemandCone};
 pub use detector::SuspicionIndex;
 pub use scheduler::{PrecisionClass, PrecisionInfo, PrecisionScheduler, SchedulerStats, Tier};

@@ -5,44 +5,45 @@
 //! |------|--------|------|------|
 //! | 0 | subtransitive `QueryEngine` | `O(E·L/64)` amortized | always — the baseline answer and the sound upper bound |
 //! | 1 | `PolyAnalysis` summaries | linear, built once per snapshot | suspicion > 0 |
-//! | 2 | `Cfa0` restricted to the demand cone | cubic in the *cone* | suspicion > 0 and budget remains — the confirmation step |
+//! | 2 | whole-program `Cfa0` | cubic, run at most once per snapshot | suspicion > 0 and the snapshot fits the budget — the confirmation step |
 //!
 //! Every answer is the Tier-0 set intersected with whatever the higher
 //! tiers proved. Each tier is an independently sound may-flow
 //! over-approximation of the *dynamic* flows (Tier 1's polyvariance can
-//! refine past monovariant 0CFA; Tier 2's cone computes exactly the
-//! 0CFA fixpoint at the query), so the intersection is sound too, and
-//! the published set only ever shrinks. The precision grade is:
+//! refine past monovariant 0CFA; Tier 2 is the 0CFA fixpoint itself),
+//! so the intersection is sound too, and the published set only ever
+//! shrinks. The precision grade is:
 //!
 //! - `exact` — certified no looser than full cubic CFA: either the
 //!   detector's suspicion is 0 (no congruence merge reachable, so the
 //!   linear answer *is* the exact answer), or Tier 2 ran and confirmed
 //!   the unshrunk Tier-0 set;
 //! - `refined` — escalation strictly shrank the Tier-0 set; whenever
-//!   the budget allowed, the set was also confirmed against (and
-//!   intersected with) the cubic oracle on the query's cone;
-//! - `approx` — sound but unconfirmed: escalation was skipped (budget
-//!   exhausted, `Forget` policy) or did not shrink the set.
+//!   the snapshot fit the budget, the set was also confirmed against
+//!   (and intersected with) the cubic oracle;
+//! - `approx` — sound but unconfirmed: escalation was skipped (snapshot
+//!   over budget, `Forget` policy) or did not shrink the set.
 //!
-//! Escalation results are memoized per query site, so repeated queries
-//! never re-pay cubic cost, and charged against a per-snapshot node
-//! budget (`--precision-budget`): each Tier-2 run spends its cone's
-//! engine-node count; once the budget is gone the scheduler degrades
-//! to Tier 0 with an honest `approx` grade.
+//! Both higher tiers are built lazily, once per snapshot, on the first
+//! suspicious query. The budget (`--precision-budget`) is the largest
+//! snapshot, in engine nodes, that gets the cubic tier: a snapshot
+//! over it answers every suspicious site with an honest `approx` (or
+//! Tier 1's `refined`). Because the decision depends on the snapshot
+//! alone, a site's grade never depends on which sites were asked
+//! before it. Graded answers are cached per site.
 //!
 //! **Single-CPU discipline:** the scheduler never spawns threads. All
 //! tiers run on the caller's thread; batch parallelism stays where it
 //! already lives, inside `QueryEngine::batch`'s worker budget.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use stcfa_cfa0::Cfa0;
 use stcfa_core::{AnalysisOptions, DatatypePolicy, PolyAnalysis, PolyOptions, QueryEngine};
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
 
-use crate::cone::demand_cone;
 use crate::detector::SuspicionIndex;
 
 /// Which tier produced an answer.
@@ -52,8 +53,8 @@ pub enum Tier {
     Sub,
     /// Polyvariant summaries.
     Poly,
-    /// Cone-restricted cubic CFA.
-    Cone,
+    /// Whole-program cubic CFA.
+    Cubic,
 }
 
 impl Tier {
@@ -62,7 +63,7 @@ impl Tier {
         match self {
             Tier::Sub => 0,
             Tier::Poly => 1,
-            Tier::Cone => 2,
+            Tier::Cubic => 2,
         }
     }
 }
@@ -105,28 +106,28 @@ pub struct PrecisionInfo {
 pub struct SchedulerStats {
     /// Queries answered (memo hits included).
     pub queries: u64,
-    /// Memoized escalations served without recomputation.
+    /// Cached escalations served without recomputation.
     pub memo_hits: u64,
     /// Tier-1 escalations run.
     pub poly_runs: u64,
-    /// Tier-2 cone runs.
+    /// Tier-2 cubic runs, at most one per snapshot.
     pub cone_runs: u64,
     /// Queries where a higher tier strictly shrank the answer.
     pub refined: u64,
-    /// Engine nodes charged against the budget so far.
-    pub budget_spent: usize,
 }
 
-/// The per-snapshot scheduler: suspicion index, escalation memo, lazy
-/// polyvariant analysis, and the node budget.
+/// The per-snapshot scheduler: suspicion index, answer cache, and the
+/// lazily built higher tiers.
 pub struct PrecisionScheduler {
     suspicion: SuspicionIndex,
     policy: DatatypePolicy,
     budget: usize,
-    spent: AtomicUsize,
     /// `Ok(analysis)` once built; `Err(())` if the polyvariant run
     /// failed (node budget) — Tier 1 is then permanently skipped.
     poly: OnceLock<Result<PolyAnalysis, ()>>,
+    /// `Some(cfa)` once built; `None` if the snapshot exceeds the
+    /// budget — Tier 2 is then permanently skipped.
+    cubic: OnceLock<Option<Cfa0>>,
     memo: Mutex<HashMap<u32, (Vec<Label>, PrecisionInfo)>>,
     queries: AtomicU64,
     memo_hits: AtomicU64,
@@ -140,13 +141,13 @@ impl std::fmt::Debug for PrecisionScheduler {
         f.debug_struct("PrecisionScheduler")
             .field("policy", &self.policy)
             .field("budget", &self.budget)
-            .field("spent", &self.spent.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl PrecisionScheduler {
-    /// Default per-snapshot escalation budget, in engine nodes.
+    /// Default budget: the largest snapshot, in engine nodes, that gets
+    /// the cubic tier.
     pub const DEFAULT_BUDGET: usize = 65_536;
 
     /// Builds a scheduler over a frozen snapshot's suspicion index.
@@ -159,8 +160,8 @@ impl PrecisionScheduler {
             suspicion,
             policy,
             budget,
-            spent: AtomicUsize::new(0),
             poly: OnceLock::new(),
+            cubic: OnceLock::new(),
             memo: Mutex::new(HashMap::new()),
             queries: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
@@ -175,7 +176,8 @@ impl PrecisionScheduler {
         &self.suspicion
     }
 
-    /// The configured budget, in engine nodes.
+    /// The configured budget: the largest snapshot, in engine nodes,
+    /// that gets the cubic tier.
     pub fn budget(&self) -> usize {
         self.budget
     }
@@ -188,7 +190,6 @@ impl PrecisionScheduler {
             poly_runs: self.poly_runs.load(Ordering::Relaxed),
             cone_runs: self.cone_runs.load(Ordering::Relaxed),
             refined: self.refined.load(Ordering::Relaxed),
-            budget_spent: self.spent.load(Ordering::Relaxed),
         }
     }
 
@@ -220,9 +221,8 @@ impl PrecisionScheduler {
             return hit.clone();
         }
         if self.policy == DatatypePolicy::Forget {
-            // `Forget` cuts flow instead of merging: neither the cone
-            // construction's premise nor "Tier 0 is an upper bound"
-            // holds, so escalation cannot certify anything.
+            // `Forget` cuts flow instead of merging: "Tier 0 is an upper
+            // bound" does not hold, so escalation cannot certify anything.
             return (
                 t0,
                 PrecisionInfo {
@@ -245,19 +245,16 @@ impl PrecisionScheduler {
             }
         }
 
-        // Tier 2: cone-restricted cubic, budget permitting. This runs
-        // even when Tier 1 already refined — the cubic cone is the
-        // confirmation step. Every refined answer is intersected with
-        // the 0CFA oracle on the query's slice (both analyses are sound
-        // may-flow over-approximations, so so is their intersection),
-        // and an unshrunk answer gains an exactness certificate.
+        // Tier 2: whole-program cubic, if the snapshot fits the budget.
+        // This runs even when Tier 1 already refined — the cubic tier is
+        // the confirmation step. Every refined answer is intersected with
+        // the 0CFA oracle (both analyses are sound may-flow
+        // over-approximations, so so is their intersection), and an
+        // unshrunk answer gains an exactness certificate.
         let mut confirmed_exact = false;
-        let cone = demand_cone(program, engine, &[engine.node_of_expr(e).index()]);
-        if self.charge(cone.node_count) {
-            self.cone_runs.fetch_add(1, Ordering::Relaxed);
-            let cfa = Cfa0::analyze_within(program, &cone.exprs);
+        if let Some(cfa) = self.cubic_analysis(program, engine) {
             best = intersect_sorted(&best, &cfa.labels(program, e));
-            tier = Tier::Cone;
+            tier = Tier::Cubic;
             confirmed_exact = true;
         }
 
@@ -274,10 +271,6 @@ impl PrecisionScheduler {
             tier,
             suspicion,
         };
-        // Memoize settled outcomes only: a budget-starved `approx` may
-        // improve if the same site is asked again after cheaper queries
-        // freed nothing — but a *later* larger budget never exists per
-        // snapshot, so deny-by-budget is settled too once Tier 1 ran.
         self.memo
             .lock()
             .expect("memo poisoned")
@@ -318,24 +311,17 @@ impl PrecisionScheduler {
             .map_err(|_| ())
     }
 
-    /// Tries to charge `nodes` against the budget; `false` leaves the
-    /// budget untouched and the caller un-escalated.
-    fn charge(&self, nodes: usize) -> bool {
-        let mut cur = self.spent.load(Ordering::Relaxed);
-        loop {
-            if cur + nodes > self.budget {
-                return false;
-            }
-            match self.spent.compare_exchange_weak(
-                cur,
-                cur + nodes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
+    /// The whole-program cubic analysis, built on first use if the
+    /// snapshot fits the budget (on the caller's thread — no spawning).
+    fn cubic_analysis(&self, program: &Program, engine: &QueryEngine) -> Option<&Cfa0> {
+        self.cubic
+            .get_or_init(|| {
+                (engine.node_count() <= self.budget).then(|| {
+                    self.cone_runs.fetch_add(1, Ordering::Relaxed);
+                    Cfa0::analyze(program)
+                })
+            })
+            .as_ref()
     }
 }
 
@@ -393,7 +379,7 @@ mod tests {
         // Two single-constructor datatypes: ≈₁ keeps them in separate
         // classes, but wrapping two *different* functions in the same
         // datatype merges them — the case result over-approximates and
-        // the cubic cone separates the arms again.
+        // the cubic tier separates the arms again.
         let src = "\
             datatype w = A of (int -> int) | B of (int -> int);\n\
             case A(fn x => x) of A(f) => f | B(g) => g";
@@ -420,7 +406,7 @@ mod tests {
         let runs = s.stats().cone_runs;
         let second = s.labels_of(&p, &e, p.root());
         assert_eq!(first, second);
-        assert_eq!(s.stats().cone_runs, runs, "second query re-ran the cone");
+        assert_eq!(s.stats().cone_runs, runs, "second query re-ran Cfa0");
         assert_eq!(s.stats().memo_hits, 1);
     }
 
@@ -435,9 +421,8 @@ mod tests {
         let s = PrecisionScheduler::new(SuspicionIndex::build(&a, &e), a.policy(), 0);
         let (labels, info) = s.labels_of(&p, &e, p.root());
         assert_eq!(labels, e.labels_of(p.root()));
-        assert_ne!(info.tier, Tier::Cone);
+        assert_ne!(info.tier, Tier::Cubic);
         assert_eq!(s.stats().cone_runs, 0);
-        assert_eq!(s.stats().budget_spent, 0);
     }
 
     #[test]

@@ -76,10 +76,10 @@ pub struct ServerOptions {
     /// connection and lets TCP push back — no response is ever shed for
     /// staying under it.
     pub conn_inflight: usize,
-    /// Per-snapshot escalation budget, in engine nodes, for the adaptive
-    /// precision scheduler (`--precision-budget`). Each Tier-2 cone run
-    /// charges its cone's node count; at zero remaining, graded answers
-    /// degrade to the subtransitive tier with an honest `approx` class.
+    /// The largest snapshot, in engine nodes, that gets the adaptive
+    /// precision scheduler's cubic tier (`--precision-budget`). Graded
+    /// answers on a larger snapshot skip Tier 2 and carry an honest
+    /// `approx` (or Tier 1's `refined`) class.
     pub precision_budget: usize,
 }
 

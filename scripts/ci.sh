@@ -268,6 +268,14 @@ grep -q '^fleet summary:' "$soak_log" \
   || { echo "soak smoke: --summary line missing from stderr" >&2; exit 1; }
 echo "-- soak clean: 64 connections, zero shed, p99 ${soak_p99} ns"
 
+echo "== benchmark: perfbench builds and its self-tests pass =="
+# perfbench (BENCHMARK.json) is a package of its own, outside the
+# workspace, so nothing above compiles it. It uses the precision
+# scheduler's public API (PrecisionScheduler::{new, DEFAULT_BUDGET,
+# labels_of, call_targets}, SchedulerStats::{cone_runs, refined}); a
+# break there fails here instead of in the benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== benches compile (not run) =="
 cargo bench --no-run --offline
 

@@ -11,8 +11,8 @@
 //!                      adaptive precision scheduler (docs/PRECISION.md):
 //!                      each set is annotated exact|refined|approx with the
 //!                      tier that settled it; requires --analysis sub
-//!   --precision-budget <n>  escalated-node cap for --precision
-//!                      (default 65536)
+//!   --precision-budget <n>  largest snapshot, in engine nodes, that gets
+//!                      the cubic tier of --precision (default 65536)
 //!   --effects          the may-have-side-effects report (paper §8)
 //!   --k-limited <k>    call targets cut off at k with "many" (paper §9)
 //!   --called-once      functions called from exactly one / no call site

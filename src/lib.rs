@@ -23,8 +23,8 @@
 //!   at the same `O(E·L/64)` arithmetic (`stcfa rule`,
 //!   `stcfa lint --explain`).
 //! - [`precision`] — the adaptive precision scheduler: degradation
-//!   detector, demand cones, and tiered escalation (subtransitive →
-//!   polyvariant → cone-restricted cubic) with per-answer grades
+//!   detector and tiered escalation (subtransitive → polyvariant →
+//!   whole-program cubic, once per snapshot) with per-answer grades
 //!   (`stcfa --precision`, protocol-v2 `"precision"`).
 //! - [`server`] — the long-running analysis daemon with its
 //!   content-addressed snapshot cache (`stcfa serve`).
