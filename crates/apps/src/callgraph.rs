@@ -22,6 +22,8 @@ pub struct CallGraph {
     /// virtual root (top-level evaluation).
     graph: DiGraph,
     labels: usize,
+    /// Expression → enclosing node (label index, or the root).
+    encloser: Vec<u32>,
 }
 
 impl CallGraph {
@@ -39,36 +41,27 @@ impl CallGraph {
         engine.prepare(); // every site is queried — the sweep pays for itself
         let labels = program.label_count();
         let mut graph = DiGraph::with_nodes(labels + 1);
-        // Map every expression to its enclosing abstraction (or the root).
-        let mut encloser = vec![labels; program.size()];
-        // Walk top-down: children inherit, lambda bodies switch owner.
-        fn assign(program: &Program, e: ExprId, owner: usize, encloser: &mut [usize]) {
-            encloser[e.index()] = owner;
-            match program.kind(e) {
-                ExprKind::Lam { label, body, .. } => {
-                    assign(program, *body, label.index(), encloser);
-                }
-                _ => {
-                    let mut children = Vec::new();
-                    program.for_each_child(e, |c| children.push(c));
-                    for c in children {
-                        assign(program, c, owner, encloser);
-                    }
-                }
-            }
-        }
-        assign(program, program.root(), labels, &mut encloser);
-
+        let encloser = enclosers(program);
         for app in program.app_sites() {
             let ExprKind::App { func, .. } = program.kind(app) else {
                 unreachable!()
             };
-            let caller = encloser[app.index()];
+            let caller = encloser[app.index()] as usize;
             for callee in engine.labels_of(*func) {
                 graph.add_edge_dedup(caller, callee.index());
             }
         }
-        CallGraph { graph, labels }
+        CallGraph {
+            graph,
+            labels,
+            encloser,
+        }
+    }
+
+    /// The call-graph node lexically enclosing `e`: the label of the
+    /// nearest enclosing abstraction, or the virtual root.
+    pub fn encloser_of(&self, e: ExprId) -> usize {
+        self.encloser[e.index()] as usize
     }
 
     /// The virtual root node id.
@@ -118,6 +111,26 @@ impl CallGraph {
     pub fn graph(&self) -> &DiGraph {
         &self.graph
     }
+}
+
+/// Maps every expression to its enclosing call-graph node: the label of
+/// the nearest enclosing abstraction, or `label_count()` (the virtual
+/// root) for top-level code. An iterative top-down walk, so nesting
+/// depth costs heap, not stack.
+fn enclosers(program: &Program) -> Vec<u32> {
+    let root = program.label_count() as u32;
+    let mut out = vec![root; program.size()];
+    // Children inherit their parent's owner; a lambda's body switches
+    // to the lambda's label.
+    let mut stack = vec![(program.root(), root)];
+    while let Some((e, owner)) = stack.pop() {
+        out[e.index()] = owner;
+        match program.kind(e) {
+            ExprKind::Lam { label, body, .. } => stack.push((*body, label.index() as u32)),
+            _ => program.for_each_child(e, |c| stack.push((c, owner))),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`Worklist`] shared by all fixed-point solvers in the workspace, and —
 //! for finished graphs — a frozen [`Csr`] snapshot with its SCC
 //! [`Condensation`], the substrate of the batch query engine in
-//! `stcfa-core`.
+//! `stcfa-core`, and the [`DomTree`] of a rooted graph.
 //!
 //! ```
 //! use stcfa_graph::DiGraph;
@@ -26,10 +26,12 @@ pub mod bitset;
 pub mod condense;
 pub mod csr;
 pub mod digraph;
+pub mod dominators;
 pub mod worklist;
 
 pub use bitset::BitSet;
 pub use condense::Condensation;
 pub use csr::Csr;
 pub use digraph::DiGraph;
+pub use dominators::DomTree;
 pub use worklist::Worklist;

@@ -6,7 +6,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use stcfa_devkit::prelude::*;
-use stcfa_graph::{BitSet, DiGraph};
+use stcfa_graph::{BitSet, DiGraph, DomTree};
 
 fn arb_graph() -> impl Strategy<Value = DiGraph> {
     (
@@ -20,6 +20,49 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
             }
             g
         })
+}
+
+/// A graph rooted at node 0. Random edges land on the entry and on
+/// their own source often enough to cover both, leave some nodes
+/// unreachable, and form irreducible loops; the flag additionally
+/// plants the two-entry loop `0 → 1 ⇄ 2 ← 0` so every run sees one.
+fn arb_rooted_graph() -> impl Strategy<Value = DiGraph> {
+    (
+        1usize..24,
+        collection::vec((0usize..24, 0usize..24), 0..60),
+        any::<bool>(),
+    )
+        .prop_map(|(n, edges, irreducible)| {
+            let mut g = DiGraph::with_nodes(n);
+            for (u, v) in edges {
+                g.add_edge(u % n, v % n);
+            }
+            if irreducible && n >= 3 {
+                for (u, v) in [(0, 1), (0, 2), (1, 2), (2, 1)] {
+                    g.add_edge(u, v);
+                }
+            }
+            g
+        })
+}
+
+/// The nodes the entry 0 reaches in `g` when `avoid` is deleted.
+fn reach_avoiding(g: &DiGraph, avoid: Option<usize>) -> BitSet {
+    let mut seen = BitSet::new(g.node_count());
+    if avoid == Some(0) {
+        return seen;
+    }
+    seen.insert(0);
+    let mut stack = vec![0usize];
+    while let Some(u) = stack.pop() {
+        for &v in g.succs(u) {
+            let v = v as usize;
+            if Some(v) != avoid && seen.insert(v) {
+                stack.push(v);
+            }
+        }
+    }
+    seen
 }
 
 proptest! {
@@ -96,6 +139,46 @@ proptest! {
         prop_assert_eq!(snapshot, x.iter().collect::<Vec<usize>>());
         for &i in a.iter().chain(&b) {
             prop_assert!(x.contains(i));
+        }
+    }
+}
+
+proptest! {
+    /// `d` dominates `n` iff `n` is reachable from the entry, but not
+    /// once `d` is deleted; the tree's interval checks, immediate
+    /// dominators and sorted lists must all say exactly that.
+    #[test]
+    fn dominator_tree_matches_deletion_oracle(g in arb_rooted_graph()) {
+        let n = g.node_count();
+        let tree = DomTree::build(n, 0, |u| g.succs(u));
+        let reach = reach_avoiding(&g, None);
+        let mut doms: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for d in 0..n {
+            let without = reach_avoiding(&g, Some(d));
+            for v in 0..n {
+                let want = reach.contains(v) && !without.contains(v);
+                prop_assert_eq!(tree.dominates(d, v), want, "dominates({}, {})", d, v);
+                prop_assert_eq!(tree.strictly_dominates(d, v), want && d != v);
+                if want {
+                    doms[v].push(d as u32);
+                }
+            }
+        }
+        for v in 0..n {
+            prop_assert_eq!(tree.is_reachable(v), reach.contains(v), "node {}", v);
+            prop_assert_eq!(&tree.doms_of(v), &doms[v], "doms_of({})", v);
+            // The immediate dominator is the closest strict dominator:
+            // every other strict dominator dominates it.
+            match tree.idom(v) {
+                Some(i) => {
+                    prop_assert!(tree.strictly_dominates(i, v));
+                    for &d in &doms[v] {
+                        let d = d as usize;
+                        prop_assert!(d == v || tree.dominates(d, i), "{} above idom {}", d, i);
+                    }
+                }
+                None => prop_assert!(v == 0 || !reach.contains(v), "node {}", v),
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Rule-backed codes print their actual declarative program — the
 //! [`stcfa_rules`] source of truth, rendered in Datalog surface syntax —
-//! so what the explainer shows is what the evaluator runs. Codes that
+//! so what the explainer shows is what the evaluator runs (for STCFA008,
+//! the specification its dominator tree is checked against). Codes that
 //! are structural (STCFA006) or oracle-coupled (STCFA001, STCFA003)
 //! get prose instead.
 
@@ -96,8 +97,9 @@ pub fn explain(code: &str) -> Option<String> {
                 "This application has a single possible target, and another call\n\
                  site with the same sole target sits in a call-graph node that\n\
                  strictly dominates this one — every path here already applied\n\
-                 that abstraction. Built on the dominator relation, itself a\n\
-                 stratified rule program (`nd(n, d)` is \"the entry reaches `n`\n\
+                 that abstraction. Built on the call graph's dominator tree;\n\
+                 this stratified rule program is the specification the tree\n\
+                 is checked against (`nd(n, d)` is \"the entry reaches `n`\n\
                  avoiding `d`\"; `dom` is its negation on reachable nodes):\n\n",
             );
             let _ = write!(out, "{}", analyses::dominators_program().0);

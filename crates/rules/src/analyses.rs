@@ -7,9 +7,10 @@
 //! Each analysis comes as a pair: a `*_program()` constructor returning
 //! the declarative [`RuleProgram`] (what `stcfa lint --explain` prints)
 //! and a driver that evaluates it against an [`ExtDb`] and decodes the
-//! answer relation into typed ids.
+//! answer relation into typed ids. The dominators are the exception:
+//! [`dominators`] computes the dominator tree the program specifies.
 
-use stcfa_graph::BitSet;
+use stcfa_graph::DomTree;
 use stcfa_lambda::{ExprId, ExprKind, Label, VarId};
 
 use crate::edb::ExtDb;
@@ -152,6 +153,11 @@ pub fn escaping_effectful(db: &ExtDb<'_>) -> Vec<Label> {
 /// positive complement, and `dom(n, d) = reach(n) ∧ ¬nd(n, d)`. Every
 /// reachable node dominates itself; the entry is dominated only by
 /// itself.
+///
+/// This is the specification of [`dominators`], which computes the same
+/// relation as a dominator tree instead of evaluating this program over
+/// every node pair; the program is what `lint --explain STCFA008`
+/// prints and what the differential tests evaluate as the oracle.
 pub fn dominators_program() -> (RuleProgram, RelId, RelId) {
     let mut p = RuleProgram::new();
     let entry = p.edb("cg_entry", &[Dom::CgNode]);
@@ -198,62 +204,18 @@ pub fn dominators_program() -> (RuleProgram, RelId, RelId) {
 }
 
 /// The dominator relation over call-graph nodes (labels plus the
-/// virtual entry at index `label_count()`).
-#[derive(Clone, Debug)]
-pub struct DomRelation {
-    entry: usize,
-    reachable: BitSet,
-    /// Per node: its dominators, increasing; empty for unreachable nodes.
-    doms: Vec<Vec<u32>>,
-}
+/// virtual entry at index `label_count()`), kept as a dominator tree:
+/// `dominates` is an `O(1)` interval check and `doms_of` walks the
+/// tree.
+pub type DomRelation = DomTree;
 
-impl DomRelation {
-    /// The entry node (the call graph's virtual root).
-    pub fn entry(&self) -> usize {
-        self.entry
-    }
-
-    /// Whether the entry reaches `n`.
-    pub fn is_reachable(&self, n: usize) -> bool {
-        self.reachable.contains(n)
-    }
-
-    /// The dominators of `n` in increasing order (includes `n` itself;
-    /// empty for unreachable nodes).
-    pub fn doms_of(&self, n: usize) -> &[u32] {
-        &self.doms[n]
-    }
-
-    /// Whether `d` dominates `n` (reflexive on reachable nodes).
-    pub fn dominates(&self, d: usize, n: usize) -> bool {
-        self.doms[n].binary_search(&(d as u32)).is_ok()
-    }
-
-    /// Whether `d` dominates `n` and `d != n`.
-    pub fn strictly_dominates(&self, d: usize, n: usize) -> bool {
-        d != n && self.dominates(d, n)
-    }
-}
-
-/// Evaluates [`dominators_program`] over the call graph.
+/// The relation [`dominators_program`] specifies, computed as the
+/// dominator tree of the call graph rather than by evaluating the
+/// program over every node pair.
 pub fn dominators(db: &ExtDb<'_>) -> DomRelation {
-    let (p, reach, dom) = dominators_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    let n = db.dom_size(Dom::CgNode);
-    let mut reachable = BitSet::new(n);
-    for x in ev.unary(reach) {
-        reachable.insert(x as usize);
-    }
-    let mut doms = vec![Vec::new(); n];
-    for (node, d) in ev.pairs(dom) {
-        doms[node as usize].push(d);
-    }
-    DomRelation {
-        entry: n - 1,
-        reachable,
-        doms,
-    }
+    let cg = db.callgraph();
+    let g = cg.graph();
+    DomTree::build(g.node_count(), cg.root(), |u| g.succs(u))
 }
 
 /// Taint reachability: `src_label` is seeded with the source labels,
@@ -451,6 +413,7 @@ pub fn dominated_redundant(db: &ExtDb<'_>) -> Vec<DominatedRedundant> {
 mod tests {
     use super::*;
     use stcfa_core::{Analysis, QueryEngine};
+    use stcfa_graph::BitSet;
     use stcfa_lambda::Program;
 
     struct Fixture {

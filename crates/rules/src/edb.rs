@@ -31,7 +31,7 @@
 //! sweep consumers use.
 //!
 //! Derived inputs that are not free (the effects colouring, the call
-//! graph, the encloser map) are computed lazily, at most once per
+//! graph with its encloser map) are computed lazily, at most once per
 //! [`ExtDb`], and only when a program actually references them.
 
 use std::cell::OnceCell;
@@ -130,9 +130,6 @@ pub struct ExtDb<'a> {
     engine: &'a QueryEngine,
     effects: OnceCell<Effects>,
     callgraph: OnceCell<CallGraph>,
-    /// Expression → enclosing call-graph node (label index, or the
-    /// virtual root `label_count()`).
-    encloser: OnceCell<Vec<u32>>,
     /// Binder → its λ's expression (`u32::MAX` = not a λ parameter).
     param_lam: OnceCell<Vec<u32>>,
     /// Label → the nodes carrying its own bit.
@@ -151,7 +148,6 @@ impl<'a> ExtDb<'a> {
             engine,
             effects: OnceCell::new(),
             callgraph: OnceCell::new(),
-            encloser: OnceCell::new(),
             param_lam: OnceCell::new(),
             origins: OnceCell::new(),
             apps: OnceCell::new(),
@@ -202,25 +198,7 @@ impl<'a> ExtDb<'a> {
     /// The call-graph node lexically enclosing `e`: the label of the
     /// nearest enclosing abstraction, or the virtual root.
     pub fn encloser_of(&self, e: ExprId) -> u32 {
-        self.encloser.get_or_init(|| {
-            let labels = self.program.label_count();
-            let mut out = vec![labels as u32; self.program.size()];
-            // Iterative top-down walk: children inherit their parent's
-            // owner; a lambda's body switches to the lambda's label.
-            let mut stack = vec![(self.program.root(), labels as u32)];
-            while let Some((e, owner)) = stack.pop() {
-                out[e.index()] = owner;
-                match self.program.kind(e) {
-                    ExprKind::Lam { label, body, .. } => {
-                        stack.push((*body, label.index() as u32));
-                    }
-                    _ => {
-                        self.program.for_each_child(e, |c| stack.push((c, owner)));
-                    }
-                }
-            }
-            out
-        })[e.index()]
+        self.callgraph().encloser_of(e) as u32
     }
 
     fn param_lam(&self) -> &[u32] {

@@ -13,6 +13,10 @@
 //! mixed-purity operator really reaches both an effectful and a pure
 //! abstraction under the exact analysis, and every dominated-redundant
 //! application really has the singleton exact target it claims.
+//!
+//! The call-graph dominators are computed as a dominator tree; the
+//! stratified `dominators_program()` is their specification, and this
+//! suite evaluates it as the oracle the tree must match pair for pair.
 
 use stcfa::cfa0::Cfa0;
 use stcfa::core::{Analysis, QueryEngine};
@@ -21,6 +25,10 @@ use stcfa::lint::{
     lint, lint_rule_backed, render_json, render_text, Diagnostic, LintOptions, RuleCode,
     RULE_BACKED_CODES,
 };
+use stcfa::rules::analyses::dominators_program;
+use stcfa::rules::{dominators, Dom, Evaluator, ExtDb};
+use stcfa::workloads::lexgen;
+use stcfa::workloads::modules::{concatenated, module_sources, ModulesConfig};
 use stcfa::workloads::synth::{generate, SynthConfig};
 use stcfa_devkit::prelude::*;
 
@@ -149,6 +157,122 @@ fn corpus_new_lints_are_oracle_sound() {
     let _ = seen;
 }
 
+/// The dominator tree against the evaluated specification program:
+/// the same reachable set, for every node the same sorted dominator
+/// list, and for every pair the same `dominates` answer. Returns the
+/// number of pairs whose dominator is neither the node itself nor the
+/// entry, so callers can check the comparison was not vacuous.
+fn assert_dominators_match_program(name: &str, program: &Program) -> usize {
+    let analysis = Analysis::run(program).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let engine = QueryEngine::freeze(&analysis);
+    let db = ExtDb::new(program, &analysis, &engine);
+    let tree = dominators(&db);
+
+    let (spec, reach, dom) = dominators_program();
+    let mut ev = Evaluator::new(&spec, &db).expect("program is well-formed");
+    ev.run();
+    let n = db.dom_size(Dom::CgNode);
+    let mut reachable = vec![false; n];
+    for x in ev.unary(reach) {
+        reachable[x as usize] = true;
+    }
+    let mut doms = vec![Vec::new(); n];
+    for (node, d) in ev.pairs(dom) {
+        doms[node as usize].push(d);
+    }
+    assert_eq!(tree.entry(), n - 1, "{name}: entry");
+    let mut inner = 0;
+    for node in 0..n {
+        doms[node].sort_unstable();
+        assert_eq!(
+            tree.is_reachable(node),
+            reachable[node],
+            "{name}: reach({node})"
+        );
+        assert_eq!(tree.doms_of(node), doms[node], "{name}: dom({node}, _)");
+        for d in 0..n {
+            assert_eq!(
+                tree.dominates(d, node),
+                doms[node].binary_search(&(d as u32)).is_ok(),
+                "{name}: dom({node}, {d})"
+            );
+        }
+        inner += doms[node].len().saturating_sub(2);
+    }
+    inner
+}
+
+/// Checks every `(name, source)` program on a stack deep enough for
+/// debug builds of the large generated ones, and requires at least one
+/// dominator besides a node itself and the entry across the set.
+fn assert_dominator_gate(programs: Vec<(String, String)>) {
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(move || {
+            let mut inner = 0;
+            for (name, src) in &programs {
+                let program = Program::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                inner += assert_dominators_match_program(name, &program);
+            }
+            assert!(inner > 0, "no call graph in the set nests");
+        })
+        .expect("spawn")
+        .join()
+        .expect("dominator gate");
+}
+
+#[test]
+fn corpus_dominator_tree_matches_program() {
+    assert_dominator_gate(corpus());
+}
+
+#[test]
+fn lexgen_dominator_tree_matches_program() {
+    assert_dominator_gate(
+        [8, 14, 24, 40, 66, lexgen::DEFAULT_STATES]
+            .into_iter()
+            .map(|states| (format!("lexgen {states}"), lexgen::source(states)))
+            .collect(),
+    );
+}
+
+#[test]
+fn modules_dominator_tree_matches_program() {
+    assert_dominator_gate(
+        (0..6)
+            .map(|seed| {
+                let modules = module_sources(&ModulesConfig {
+                    seed,
+                    modules: 64,
+                    ..ModulesConfig::default()
+                });
+                (format!("modules 64 seed {seed}"), concatenated(&modules))
+            })
+            .collect(),
+    );
+}
+
+#[test]
+fn synth_dominator_tree_matches_program() {
+    assert_dominator_gate(
+        [40, 100, 250, 600, 1500, 3000]
+            .into_iter()
+            .enumerate()
+            .map(|(seed, target_size)| {
+                let program = generate(&SynthConfig {
+                    seed: seed as u64,
+                    target_size,
+                    ..SynthConfig::default()
+                });
+                (
+                    format!("synth {target_size} seed {seed}"),
+                    program.to_source(),
+                )
+            })
+            .collect(),
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -156,5 +280,6 @@ proptest! {
     fn synthesized_backends_are_byte_identical(seed in 0u64..1_000_000) {
         let program = program_for(seed);
         assert_backends_agree(&format!("seed {seed}"), &program);
+        assert_dominators_match_program(&format!("seed {seed}"), &program);
     }
 }
